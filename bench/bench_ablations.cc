@@ -5,24 +5,24 @@
 //   3. Rounding scheme (MSY vs fixed-bit truncation) plugged into CAMP
 //   4. Admission control on/off around CAMP (Section 6 future work)
 //   5. Sharding (Section 4.1): multi-threaded hit throughput, 1..16 shards
+//      (shards=1 is the one-big-lock baseline)
 //   6. Allocator: slab vs buddy under a KVS-like size mix
-//   7. Lock granularity (Section 4.1): one big lock around serial CAMP vs
-//      the fine-grained concurrent engine, with 1..8 physical sub-queues
+//   7. Parallel trace replay (Section 4.1) against sharded CAMP
 #include "bench_common.h"
 
 #include <atomic>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core/camp.h"
-#include "core/concurrent_camp.h"
 #include "heap/pairing_heap.h"
 #include "sim/parallel_simulator.h"
 #include "kvs/sharded_cache.h"
+#include "kvs/store.h"
 #include "policy/admission.h"
 #include "policy/gds.h"
+#include "policy/policy_factory.h"
 #include "slab/buddy_allocator.h"
 #include "slab/slab_allocator.h"
 #include "util/rounding.h"
@@ -220,103 +220,6 @@ void run_sharded(benchmark::State& state, std::size_t shards, int threads) {
   }
 }
 
-// ---- 7. lock granularity: big-lock CAMP vs concurrent engine --------------------
-
-void run_mt_workload(benchmark::State& state, policy::ICache& cache,
-                     int threads) {
-  std::atomic<std::uint64_t> ops{0};
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&cache, &ops, t] {
-      util::Xoshiro256 rng(static_cast<std::uint64_t>(t) + 1);
-      std::uint64_t local = 0;
-      for (int i = 0; i < 100'000; ++i) {
-        const policy::Key k = rng.below(50'000);
-        if (!cache.get(k)) {
-          cache.put(k, 64 + rng.below(1024), 1 + rng.below(10'000));
-        }
-        ++local;
-      }
-      ops.fetch_add(local);
-    });
-  }
-  for (auto& w : workers) w.join();
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops.load()));
-}
-
-/// Serial CAMP behind one global mutex: the baseline Section 4.1 argues
-/// against.
-class BigLockCamp final : public policy::ICache {
- public:
-  explicit BigLockCamp(std::uint64_t cap) {
-    core::CampConfig config;
-    config.capacity_bytes = cap;
-    config.precision = 5;
-    inner_ = std::make_unique<core::CampCache>(config);
-  }
-  bool get(policy::Key key) override {
-    std::lock_guard g(mutex_);
-    return inner_->get(key);
-  }
-  bool put(policy::Key key, std::uint64_t size, std::uint64_t cost) override {
-    std::lock_guard g(mutex_);
-    return inner_->put(key, size, cost);
-  }
-  bool contains(policy::Key key) const override {
-    std::lock_guard g(mutex_);
-    return inner_->contains(key);
-  }
-  void erase(policy::Key key) override {
-    std::lock_guard g(mutex_);
-    inner_->erase(key);
-  }
-  bool evict_one() override {
-    std::lock_guard g(mutex_);
-    return inner_->evict_one();
-  }
-  std::uint64_t capacity_bytes() const override {
-    return inner_->capacity_bytes();
-  }
-  std::uint64_t used_bytes() const override {
-    std::lock_guard g(mutex_);
-    return inner_->used_bytes();
-  }
-  std::size_t item_count() const override {
-    std::lock_guard g(mutex_);
-    return inner_->item_count();
-  }
-  const policy::CacheStats& stats() const override { return inner_->stats(); }
-  std::string name() const override { return "big-lock-camp"; }
-  void set_eviction_listener(policy::EvictionListener listener) override {
-    inner_->set_eviction_listener(std::move(listener));
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::unique_ptr<core::CampCache> inner_;
-};
-
-void run_lock_granularity(benchmark::State& state, std::uint32_t physical,
-                          int threads) {
-  const std::uint64_t cap = 64u << 20;
-  for (auto _ : state) {
-    if (physical == 0) {
-      BigLockCamp cache(cap);
-      run_mt_workload(state, cache, threads);
-    } else {
-      core::ConcurrentCampConfig config;
-      config.capacity_bytes = cap;
-      config.precision = 5;
-      config.physical_queues = physical;
-      core::ConcurrentCampCache cache(config);
-      run_mt_workload(state, cache, threads);
-      state.counters["shared_fast_hits"] =
-          static_cast<double>(cache.introspect().shared_fast_hits);
-    }
-  }
-}
-
 // ---- 8. CAMP-F precision sweep ---------------------------------------------------
 // Figure 5a's question asked of the frequency-aware extension: does the
 // rounding that bounds the queue count cost any decision quality when the
@@ -341,17 +244,15 @@ void run_campf_precision(benchmark::State& state, int precision) {
   }
 }
 
-// ---- 7b. parallel trace replay against the concurrent engine --------------------
+// ---- 7. parallel trace replay against sharded CAMP ------------------------------
 
 void run_parallel_replay(benchmark::State& state, unsigned threads) {
   const auto& bundle = bench::default_trace();
   const std::uint64_t cap =
       sim::capacity_for_ratio(0.1, bundle.unique_bytes);
   for (auto _ : state) {
-    core::ConcurrentCampConfig config;
-    config.capacity_bytes = cap;
-    config.precision = 5;
-    core::ConcurrentCampCache cache(config);
+    kvs::ShardedCache cache(cap, kvs::StoreConfig{}.shards,
+                            policy::make_policy_factory("camp:p=5"));
     const auto result =
         sim::replay_parallel(cache, bundle.records, threads);
     state.SetItemsProcessed(
@@ -484,25 +385,6 @@ int main(int argc, char** argv) {
         ->UseRealTime();
   }
 
-  benchmark::RegisterBenchmark(
-      "ablation/lock-granularity/big-lock/threads=8",
-      [](benchmark::State& st) { run_lock_granularity(st, 0, 8); })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond)
-      ->UseRealTime();
-  for (const std::uint32_t physical : {1u, 4u, 8u}) {
-    benchmark::RegisterBenchmark(
-        ("ablation/lock-granularity/camp-mt-q" + std::to_string(physical) +
-         "/threads=8")
-            .c_str(),
-        [physical](benchmark::State& st) {
-          run_lock_granularity(st, physical, 8);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond)
-        ->UseRealTime();
-  }
-
   for (const int precision : {1, 3, 5, 10, 64}) {
     benchmark::RegisterBenchmark(
         ("ablation/campf-precision/p=" +
@@ -517,7 +399,7 @@ int main(int argc, char** argv) {
 
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     benchmark::RegisterBenchmark(
-        ("ablation/parallel-replay/camp-mt/threads=" +
+        ("ablation/parallel-replay/sharded-camp/threads=" +
          std::to_string(threads))
             .c_str(),
         [threads](benchmark::State& st) {

@@ -150,8 +150,8 @@ class AutoTuner {
 /// Migration protocol: observe() only bumps the atomic `epoch`. Each shard
 /// keeps the epoch it last saw and, when it differs, retunes its own
 /// policy (under its own lock) to current_precision(). The tuner mutex
-/// ranks at util::LockRank::kAutoTuner, between the shard planes that feed
-/// it and the camp plane it must never reach into.
+/// ranks at util::LockRank::kAutoTuner, above the shard planes that feed
+/// it, and is never held while taking another lock.
 class SharedAutoTuner {
  public:
   explicit SharedAutoTuner(AutoTunerConfig config);

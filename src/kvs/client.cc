@@ -55,7 +55,8 @@ KvsClient::KvsClient(const std::string& host, std::uint16_t port) {
     ::close(fd_);
     throw std::runtime_error("KvsClient: bad host address");
   }
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+  if (net::connect_eintr_safe(fd_, reinterpret_cast<sockaddr*>(&addr),
+                              sizeof(addr)) < 0) {
     ::close(fd_);
     throw std::runtime_error(std::string("KvsClient: connect failed: ") +
                              std::strerror(errno));

@@ -10,10 +10,15 @@
 //
 // classify_io() folds the errno zoo of a NON-BLOCKING socket operation into
 // the three outcomes an event-driven caller actually branches on.
+//
+// connect() is the one call retry_eintr cannot wrap: see connect_eintr_safe.
 #pragma once
 
-#include <cerrno>
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/types.h>
+
+#include <cerrno>
 
 namespace camp::kvs::net {
 
@@ -26,6 +31,33 @@ ssize_t retry_eintr(Fn&& fn) {
     const ssize_t n = fn();
     if (n >= 0 || errno != EINTR) return n;
   }
+}
+
+/// ::connect that survives signals. An interrupted connect is NOT undone:
+/// the kernel keeps establishing the connection, and POSIX specifies that
+/// calling connect again fails with EALREADY. So on EINTR (and on
+/// EINPROGRESS, for a non-blocking socket) this never reconnects; it waits
+/// for the socket to turn writable with poll(POLLOUT), itself retried on
+/// EINTR, and reads the connect's outcome from SO_ERROR.
+/// Returns 0 once connected, or -1 with errno set to the connect error
+/// (e.g. ECONNREFUSED).
+inline int connect_eintr_safe(int fd, const sockaddr* addr, socklen_t len) {
+  if (::connect(fd, addr, len) == 0) return 0;
+  if (errno != EINTR && errno != EINPROGRESS) return -1;
+  pollfd pfd{fd, POLLOUT, 0};
+  if (retry_eintr([&] {
+        return static_cast<ssize_t>(::poll(&pfd, 1, -1));
+      }) < 0) {
+    return -1;
+  }
+  int err = 0;
+  socklen_t err_len = sizeof(err);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) < 0) return -1;
+  if (err != 0) {
+    errno = err;
+    return -1;
+  }
+  return 0;
 }
 
 /// Outcome of one non-blocking read/write attempt, post retry_eintr.

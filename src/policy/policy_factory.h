@@ -14,10 +14,6 @@
 //                      starting at the first listed candidate
 //   "camp-f"           frequency-aware CAMP (GDSF scoring, CAMP machinery)
 //   "camp-f:p=<n>"     frequency-aware CAMP with precision n
-//   "camp-mt"          thread-safe CAMP (Section 4.1 design), precision 5
-//   "camp-mt:p=<n>"    thread-safe CAMP with precision n
-//   "camp-mt:q=<n>"    thread-safe CAMP with n physical sub-queues per ratio
-//                      (p and q parameters combine in any order)
 //   "gds"              Greedy Dual Size, arbitrary tie-break
 //   "gds:lru"          Greedy Dual Size with LRU tie-break
 //   "gdsf"             Greedy-Dual-Size-Frequency (Squid's GDS variant)

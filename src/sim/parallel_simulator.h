@@ -1,6 +1,8 @@
 // Multi-threaded trace replay against one thread-safe cache (the Section
 // 4.1 deployment shape: many server threads performing caching decisions
-// concurrently).
+// concurrently). The repository's thread-safe CAMP is kvs::ShardedCache
+// over serial CAMP shards: the paper's hash-partitioned, independently
+// locked queues.
 //
 // The trace is dealt round-robin to T worker threads which replay their
 // shares concurrently against a single shared ICache. Per-thread metrics
@@ -16,7 +18,7 @@
 //     executes it.
 //
 // Use sim::Simulator for the paper's single-threaded figures; this harness
-// exists for the lock-granularity ablation and camp-mt soak testing.
+// exists for the parallel-replay ablation and the sharded-CAMP soak test.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,7 @@ struct ParallelReplayResult {
 };
 
 /// Replay `records` against `cache` with `threads` workers. The cache must
-/// be thread-safe (ConcurrentCampCache, a sharded/locked wrapper, ...).
+/// be thread-safe (e.g. kvs::ShardedCache).
 /// `threads` == 1 degenerates to sequential replay (same totals as
 /// sim::Simulator up to cold-accounting described above).
 [[nodiscard]] ParallelReplayResult replay_parallel(

@@ -1,21 +1,22 @@
 // Debug-build runtime lock-rank checker: the dynamic twin of the Clang
-// Thread Safety Annotations (util/thread_annotations.h). Every util::Mutex /
-// util::SharedMutex carries a LockRank; a thread may only acquire a lock
-// whose rank is STRICTLY greater than every rank it already holds, so a
-// rank inversion — the seed of every lock-order deadlock — aborts the
-// process at the first wrong acquisition on ANY schedule, instead of
-// deadlocking only when two threads interleave just so.
+// Thread Safety Annotations (util/thread_annotations.h). Every util::Mutex
+// carries a LockRank; a thread may only acquire a lock whose rank is
+// STRICTLY greater than every rank it already holds, so a rank inversion —
+// the seed of every lock-order deadlock — aborts the process at the first
+// wrong acquisition on ANY schedule, instead of deadlocking only when two
+// threads interleave just so.
 //
 // The rank values encode the repository's documented hierarchy (see README
 // "Static analysis & sanitizers"); the canonical deep chain is
 //
-//   store shard -> policy shard -> camp structure -> camp index stripe
-//     -> camp queue -> camp heap -> camp listener/stats -> cluster leaf
+//   store shard -> policy shard -> cluster leaf
 //
-// i.e. an engine eviction fires under its store shard lock, walks down
-// through the policy's internal locks, and may finish in the cluster's
-// strict-leaf metadata mutex. Peer-link locks sit between the camp plane
-// and the cluster leaf but are in practice taken with nothing held.
+// i.e. an engine eviction fires under its store shard lock, descends into
+// a sharded policy's shard lock (the serial CAMP engine inside takes no lock
+// of its own), and may finish in the cluster's strict-leaf metadata mutex.
+// The auto-tuner lock is taken under the shard locks but never held across
+// another acquisition; peer-link locks sit between it and the cluster leaf
+// but are in practice taken with nothing held.
 //
 // Release builds (NDEBUG) compile the checker out completely: the
 // push/pop helpers become empty inlines and util::Mutex does not even
@@ -46,25 +47,10 @@ enum class LockRank : int {
 
   /// core::SharedAutoTuner::mutex_ — the shadow-cache duel state of the
   /// precision auto-tuner. Fed under a store shard (200) or policy shard
-  /// (300) lock; never held while taking any camp-internal lock (shards
-  /// apply migrations lazily, under their own locks, after the tuner call
-  /// returned), so it slots strictly between the shard planes and the camp
-  /// plane.
+  /// (300) lock; never held while taking another lock (shards apply
+  /// migrations lazily, under their own locks, after the tuner call
+  /// returned), so it slots strictly above the shard planes.
   kAutoTuner = 350,
-
-  /// ConcurrentCampCache::structure_ — the readers-writer lock separating
-  /// the shared hit plane from the exclusive mutation plane.
-  kCampStructure = 400,
-  /// ConcurrentCampCache::IndexStripe::mutex.
-  kCampIndexStripe = 410,
-  /// ConcurrentCampCache::Queue::mutex (never two at once; strictly below
-  /// the heap lock, which the hit path takes after it).
-  kCampQueue = 420,
-  /// ConcurrentCampCache::heap_mutex_.
-  kCampHeap = 430,
-  /// ConcurrentCampCache::listener_mutex_ (taken under the exclusive
-  /// structure lock by the eviction path).
-  kCampListener = 440,
 
   /// CoopCluster::links_mutex_ — guards the peer-link map, not the links.
   kClusterLinks = 600,

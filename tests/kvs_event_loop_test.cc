@@ -16,9 +16,11 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,35 +307,183 @@ TEST(SlowReaderTest, AbortedSlowReaderIsReaped) {
 std::atomic<int> g_usr1_count{0};
 void on_usr1(int) { g_usr1_count.fetch_add(1, std::memory_order_relaxed); }
 
+/// Installs on_usr1 for SIGUSR1 with SA_RESTART disabled, so a signal that
+/// lands in a blocking syscall makes it fail with EINTR. The old action is
+/// restored on destruction.
+class Usr1WithoutRestart {
+ public:
+  Usr1WithoutRestart() {
+    struct sigaction sa {};
+    sa.sa_handler = &on_usr1;
+    sigemptyset(&sa.sa_mask);
+    sa.sa_flags = 0;  // deliberately NOT SA_RESTART
+    installed_ = ::sigaction(SIGUSR1, &sa, &old_) == 0;
+  }
+  ~Usr1WithoutRestart() {
+    if (installed_) (void)::sigaction(SIGUSR1, &old_, nullptr);
+  }
+  Usr1WithoutRestart(const Usr1WithoutRestart&) = delete;
+  Usr1WithoutRestart& operator=(const Usr1WithoutRestart&) = delete;
+  [[nodiscard]] bool installed() const { return installed_; }
+
+ private:
+  struct sigaction old_ {};
+  bool installed_ = false;
+};
+
+/// Sends SIGUSR1 to `target` (and, with `whole_process`, to the process, so
+/// other threads catch interrupts too) every 200 us until destroyed. The
+/// destructor stops and joins the sender, which makes the storm a scope
+/// guard: a throw or an ASSERT's early return is reported as a test failure
+/// instead of ending the binary in std::terminate on a joinable thread.
+class SignalStorm {
+ public:
+  SignalStorm(pthread_t target, bool whole_process)
+      : thread_([this, target, whole_process] {
+          while (!stop_.load()) {
+            (void)::pthread_kill(target, SIGUSR1);
+            if (whole_process) (void)::kill(::getpid(), SIGUSR1);
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+          }
+        }) {}
+  ~SignalStorm() {
+    stop_.store(true);
+    thread_.join();
+  }
+  SignalStorm(const SignalStorm&) = delete;
+  SignalStorm& operator=(const SignalStorm&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+sockaddr_in loopback(std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  return addr;
+}
+
+/// A loopback listener on an ephemeral port whose acceptor thread accepts
+/// and closes every connection until destroyed. The backlog is the system
+/// maximum: a full accept queue drops SYNs, and each drop stalls a connect
+/// for the one-second retransmit.
+class DrainingListener {
+ public:
+  DrainingListener() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr = loopback(0);
+    socklen_t len = sizeof(addr);
+    if (fd_ < 0 ||
+        ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd_, SOMAXCONN) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      if (fd_ >= 0) ::close(fd_);
+      throw std::runtime_error("DrainingListener: setup failed");
+    }
+    port_ = ntohs(addr.sin_port);
+    acceptor_ = std::thread([this] {
+      while (!stopping_.load()) {
+        const int c = ::accept(fd_, nullptr, nullptr);
+        if (c >= 0) ::close(c);
+      }
+    });
+  }
+  ~DrainingListener() {
+    stopping_.store(true);
+    ::shutdown(fd_, SHUT_RDWR);  // wakes the blocked accept
+    acceptor_.join();
+    ::close(fd_);
+  }
+  DrainingListener(const DrainingListener&) = delete;
+  DrainingListener& operator=(const DrainingListener&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+ private:
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::atomic<bool> stopping_{false};
+  std::thread acceptor_;
+};
+
+/// A loopback connect is interrupted often under a storm (several percent
+/// of attempts fail with EINTR when called raw). connect_eintr_safe must
+/// turn every one of them into an established connection.
+TEST(NetIoTest, ConnectSurvivesSignalStorm) {
+  Usr1WithoutRestart handler;
+  ASSERT_TRUE(handler.installed());
+  DrainingListener listener;
+  const sockaddr_in addr = loopback(listener.port());
+  const int signals_before = g_usr1_count.load();
+
+  SignalStorm storm(::pthread_self(), /*whole_process=*/false);
+  // Start connecting only once the storm is landing, so the connects below
+  // really race it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (g_usr1_count.load() == signals_before) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "storm never actually delivered";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  int connects = 0;
+  // At least 200 connects, and on (up to 2000) until 20 signals have
+  // landed: most land inside a connect, so the interrupted path runs many
+  // times over.
+  while (connects < 200 ||
+         (g_usr1_count.load() - signals_before < 20 && connects < 2000)) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const int rc = net::connect_eintr_safe(
+        fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+    const int err = errno;
+    ::close(fd);
+    ASSERT_EQ(rc, 0) << "connect " << connects << ": " << std::strerror(err);
+    ++connects;
+  }
+}
+
+TEST(NetIoTest, ConnectReportsRefusedPort) {
+  // Bind (but never listen on) an ephemeral port: connecting to it is
+  // refused, and the helper reports exactly that.
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr = loopback(0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::bind(holder, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  errno = 0;
+  const int rc = net::connect_eintr_safe(
+      fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  const int err = errno;
+  ::close(fd);
+  ::close(holder);
+  EXPECT_EQ(rc, -1);
+  EXPECT_EQ(err, ECONNREFUSED) << std::strerror(err);
+}
+
 /// Big-value roundtrips under a SIGUSR1 storm with SA_RESTART disabled:
 /// every blocking syscall in client and server is eligible to fail with
 /// EINTR. The old code treated that as a fatal error ("connection closed" /
 /// dropped connection); with retry_eintr every roundtrip must survive.
 TEST(SignalStormTest, RoundtripsSurviveEintr) {
-  struct sigaction sa {};
-  sa.sa_handler = &on_usr1;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // deliberately NOT SA_RESTART
-  struct sigaction old {};
-  ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old), 0);
+  Usr1WithoutRestart handler;
+  ASSERT_TRUE(handler.installed());
+  const int signals_before = g_usr1_count.load();
 
   const util::SteadyClock clock;
   KvsServer server(server_config(), lru_factory(), clock);
   server.start();
-
-  std::atomic<bool> stop{false};
-  const pthread_t target = ::pthread_self();
-  std::thread storm([&] {
-    while (!stop.load()) {
-      // Alternate between this (client) thread and the whole process, so
-      // the server's worker threads catch interrupts too.
-      (void)::pthread_kill(target, SIGUSR1);
-      (void)::kill(::getpid(), SIGUSR1);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-
   {
+    SignalStorm storm(::pthread_self(), /*whole_process=*/true);
     KvsClient client("127.0.0.1", server.port());
     const std::string big(150'000, 'p');
     for (int i = 0; i < 60; ++i) {
@@ -342,11 +492,8 @@ TEST(SignalStormTest, RoundtripsSurviveEintr) {
           << "iteration " << i;
     }
   }
-
-  stop.store(true);
-  storm.join();
-  ASSERT_EQ(::sigaction(SIGUSR1, &old, nullptr), 0);
-  EXPECT_GT(g_usr1_count.load(), 0) << "storm never actually delivered";
+  EXPECT_GT(g_usr1_count.load(), signals_before)
+      << "storm never actually delivered";
   server.stop();
 }
 

@@ -77,11 +77,7 @@ TEST(Factory, CampSpecRejectsMalformedParameters) {
   expect_rejected("camp:p=5:p=7", "duplicate parameter 'p'");
   expect_rejected("camp:p=auto:p=5", "duplicate parameter 'p'");
   expect_rejected("camp:p=5:junk", "malformed parameter");
-  expect_rejected("camp:q=4", "unknown parameter 'q'");  // camp-mt only
-  expect_rejected("camp-mt:p=0", "precision must be >= 1");
-  expect_rejected("camp-mt:q=0", "must be >= 1");
-  expect_rejected("camp-mt:q=4:q=8", "duplicate parameter 'q'");
-  expect_rejected("camp-mt:p=auto", "only supported by 'camp'");
+  expect_rejected("camp:q=4", "unknown parameter 'q'");
   expect_rejected("camp-f:p=auto", "only supported by 'camp'");
   expect_rejected("camp-f:candidates=1,2", "unknown parameter");
   expect_rejected("camp:candidates=1,2", "requires p=auto");
@@ -119,9 +115,11 @@ TEST(Factory, CampAutoFactorySharesOneTunerAcrossShards) {
   EXPECT_EQ(static_factory(1024)->name(), "camp(p=5)");
 }
 
-TEST(Factory, CampMtQueueParsing) {
-  EXPECT_EQ(make_policy("camp-mt:p=3:q=2", 1000)->name(), "camp-mt(p=3,q=2)");
-  EXPECT_EQ(make_policy("camp-mt:q=1", 1000)->name(), "camp-mt(p=5)");
+TEST(Factory, RetiredConcurrentSpecIsUnknown) {
+  // The thread-safe CAMP is a ShardedCache over "camp" shards, not a
+  // policy spec of its own.
+  expect_rejected("camp-mt", "unknown spec");
+  expect_rejected("camp-mt:q=4", "unknown spec");
 }
 
 }  // namespace

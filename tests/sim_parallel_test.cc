@@ -5,8 +5,9 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "core/camp.h"
-#include "core/concurrent_camp.h"
+#include "kvs/sharded_cache.h"
+#include "kvs/store.h"
+#include "policy/policy_factory.h"
 #include "sim/simulator.h"
 #include "trace/workloads.h"
 
@@ -19,11 +20,11 @@ std::vector<trace::TraceRecord> small_trace(std::uint64_t seed) {
   return gen.generate();
 }
 
-core::ConcurrentCampCache make_cache(std::uint64_t cap) {
-  core::ConcurrentCampConfig config;
-  config.capacity_bytes = cap;
-  config.precision = 5;
-  return core::ConcurrentCampCache(config);
+/// Serial CAMP made concurrent the way the store does it: hash-partitioned
+/// over the store's default shard count, one lock per shard.
+kvs::ShardedCache make_cache(std::uint64_t cap) {
+  return kvs::ShardedCache(cap, kvs::StoreConfig{}.shards,
+                           policy::make_policy_factory("camp:p=5"));
 }
 
 TEST(ParallelReplay, SingleThreadMatchesSerialSimulator) {
@@ -31,14 +32,11 @@ TEST(ParallelReplay, SingleThreadMatchesSerialSimulator) {
   auto concurrent = make_cache(200'000);
   const auto result = replay_parallel(concurrent, records, 1);
 
-  core::CampConfig serial_cfg;
-  serial_cfg.capacity_bytes = 200'000;
-  serial_cfg.precision = 5;
-  core::CampCache serial(serial_cfg);
+  auto serial = make_cache(200'000);
   Simulator simulator(serial);
   simulator.run(records);
 
-  // One worker replays in trace order against a decision-identical engine:
+  // One worker replays in trace order against an identically built cache:
   // totals must agree exactly.
   EXPECT_EQ(result.metrics.requests, simulator.metrics().requests);
   EXPECT_EQ(result.metrics.cold_requests,
@@ -66,7 +64,10 @@ TEST(ParallelReplay, MultiThreadTotalsAreCoherent) {
   EXPECT_LE(result.metrics.miss_rate(), 1.0);
   EXPECT_GT(result.wall_seconds, 0.0);
   EXPECT_GT(result.requests_per_second(), 0.0);
-  EXPECT_TRUE(cache.check_invariants());
+  EXPECT_LE(cache.used_bytes(), cache.capacity_bytes());
+  const policy::CacheStats stats = cache.stats_snapshot();
+  EXPECT_EQ(stats.gets, records.size());
+  EXPECT_EQ(stats.hits, result.metrics.hits);
 }
 
 TEST(ParallelReplay, MultiThreadRatesTrackSerialRates) {
