@@ -1,5 +1,7 @@
 #include "kvs/compress.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace camp::kvs {
@@ -96,40 +98,94 @@ bool bdi_decompress(std::string_view stored, std::size_t raw_len,
 
 constexpr std::size_t kMaxRun = 128;
 
+// The encoder scans a 64-bit word at a time: a little-endian load puts the
+// byte at the lowest address in the low bits, so std::countr_zero of a
+// mismatch mask, divided by 8, is the offset of the first mismatching byte.
+static_assert(std::endian::native == std::endian::little,
+              "the word-at-a-time RLE scan assumes little-endian loads");
+
+constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
+
+/// High bit set in exactly the bytes of `x` that are zero. Unlike the
+/// (x - 0x01..) & ~x trick this has no borrow between bytes, so every bit
+/// of the mask is exact.
+std::uint64_t zero_byte_mask(std::uint64_t x) {
+  return ~(((x & kLow7) + kLow7) | x | kLow7);
+}
+
+/// Length of the repeat run at i: 1 + the bytes after raw[i] equal to it,
+/// capped at kMaxRun and at the end of the input.
 std::size_t run_length_at(std::string_view raw, std::size_t i) {
-  std::size_t n = 1;
-  while (n < kMaxRun && i + n < raw.size() && raw[i + n] == raw[i]) ++n;
-  return n;
+  const char* p = raw.data();
+  const std::size_t end = i + std::min(kMaxRun, raw.size() - i);
+  const std::uint64_t broadcast = kOnes * static_cast<unsigned char>(p[i]);
+  std::size_t j = i + 1;
+  for (; j + 8 <= end; j += 8) {
+    const std::uint64_t diff = load_le64(p + j) ^ broadcast;
+    if (diff != 0) return j - i + std::countr_zero(diff) / 8;
+  }
+  while (j < end && p[j] == p[i]) ++j;
+  return j - i;
+}
+
+/// End of the literal starting at `start`: the first position p at which
+/// three equal bytes begin, else the 128-byte cap or the end of the input.
+/// Word step: byte k of (a^b)|(a^c) is zero exactly when raw[i+k],
+/// raw[i+k+1] and raw[i+k+2] are equal. A step never covers a position at
+/// or past `end`: the cap is a multiple of 8 from `start`, and a step
+/// needs i + 10 <= size.
+std::size_t literal_end(std::string_view raw, std::size_t start) {
+  const char* p = raw.data();
+  const std::size_t size = raw.size();
+  const std::size_t end = start + std::min(kMaxRun, size - start);
+  std::size_t i = start;
+  for (; i < end && i + 10 <= size; i += 8) {
+    const std::uint64_t a = load_le64(p + i);
+    const std::uint64_t b = load_le64(p + i + 1);
+    const std::uint64_t c = load_le64(p + i + 2);
+    const std::uint64_t triples = zero_byte_mask((a ^ b) | (a ^ c));
+    if (triples != 0) return i + std::countr_zero(triples) / 8;
+  }
+  while (i < end && !(i + 2 < size && p[i] == p[i + 1] && p[i] == p[i + 2])) {
+    ++i;
+  }
+  return i;
+}
+
+/// Worst case: every byte sits in a literal, one control byte per 128.
+std::size_t rle_bound(std::size_t raw_len) {
+  return raw_len + raw_len / kMaxRun + 1;
 }
 
 void rle_compress(std::string_view raw, std::string& out) {
-  out.clear();
-  out.reserve(raw.size() + raw.size() / kMaxRun + 1);
+  out.resize(rle_bound(raw.size()));
+  char* o = out.data();
   std::size_t i = 0;
   while (i < raw.size()) {
     const std::size_t run = run_length_at(raw, i);
     if (run >= 3) {
-      out.push_back(static_cast<char>(257 - run));
-      out.push_back(raw[i]);
+      *o++ = static_cast<char>(257 - run);
+      *o++ = raw[i];
       i += run;
       continue;
     }
     // Literal run: extend until the next worthwhile repeat run (>= 3) or
-    // the 128-byte control limit. The repeat-run probe is O(1) per byte so
-    // an incompressible value encodes in linear time.
+    // the 128-byte control limit.
     const std::size_t start = i;
-    while (i < raw.size() && i - start < kMaxRun &&
-           !(i + 2 < raw.size() && raw[i] == raw[i + 1] &&
-             raw[i] == raw[i + 2])) {
-      ++i;
-    }
-    out.push_back(static_cast<char>(i - start - 1));
-    out.append(raw.substr(start, i - start));
+    i = literal_end(raw, start);
+    *o++ = static_cast<char>(i - start - 1);
+    std::memcpy(o, raw.data() + start, i - start);
+    o += i - start;
   }
+  out.resize(static_cast<std::size_t>(o - out.data()));
 }
 
 bool rle_decompress(std::string_view stored, std::size_t raw_len,
                     std::string& out) {
+  // A 2-byte repeat frame expands to at most kMaxRun bytes, so no valid
+  // stream decodes past this; checked before reserving raw_len.
+  if (raw_len > stored.size() * (kMaxRun / 2)) return false;
   out.clear();
   out.reserve(raw_len);
   std::size_t i = 0;

@@ -112,6 +112,7 @@ bool KvsEngine::set(std::string_view key, std::string_view value,
                     std::uint32_t flags, std::uint32_t cost,
                     std::uint32_t exptime_s) {
   ++stats_.sets;
+  forget_miss(key);
   if (key.empty() || key.size() > kMaxKeyLength) {
     ++stats_.rejected_sets;
     return false;
@@ -141,6 +142,7 @@ bool KvsEngine::set_stored(std::string_view key, std::string_view stored,
     return set(key, stored, flags, cost, exptime_s);
   }
   ++stats_.sets;
+  forget_miss(key);
   if (key.empty() || key.size() > kMaxKeyLength) {
     ++stats_.rejected_sets;
     return false;
@@ -228,7 +230,7 @@ bool KvsEngine::store_internal(std::string_view key, std::string_view stored,
 bool KvsEngine::iqset(std::string_view key, std::string_view value,
                       std::uint32_t flags, std::uint32_t exptime_s) {
   std::uint32_t cost = 1;
-  const auto it = miss_timestamps_.find(std::string(key));
+  const auto it = miss_timestamps_.find(key);
   if (it != miss_timestamps_.end()) {
     const std::uint64_t elapsed = clock_.now_ns() - it->second;
     const std::uint64_t scaled =
@@ -243,12 +245,19 @@ bool KvsEngine::iqset(std::string_view key, std::string_view value,
 
 bool KvsEngine::del(std::string_view key) {
   ++stats_.deletes;
+  forget_miss(key);
   const std::string key_str(key);
   const auto it = index_.find(key_str);
   if (it == index_.end()) return false;
   policy_->erase(it->second.id);  // no eviction callback for erase
   remove_item(key_str, /*free_chunk=*/true);
   return true;
+}
+
+void KvsEngine::forget_miss(std::string_view key) {
+  if (miss_timestamps_.empty()) return;
+  const auto it = miss_timestamps_.find(key);
+  if (it != miss_timestamps_.end()) miss_timestamps_.erase(it);
 }
 
 void KvsEngine::flush_all() {

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "kvs/item.h"
@@ -254,6 +255,8 @@ class KvsEngine {
                       std::uint32_t raw_len, Codec codec, std::uint32_t flags,
                       std::uint32_t cost, std::uint32_t exptime_s);
   void remove_item(const std::string& key, bool free_chunk);
+  /// Drop the key's pending iqget miss timestamp, if any.
+  void forget_miss(std::string_view key);
   void on_policy_eviction(policy::Key id);
   /// Fire eviction_hook_ for a still-resident pair about to be dropped
   /// under pressure.
@@ -268,7 +271,19 @@ class KvsEngine {
   util::Xoshiro256 rng_;
   std::unordered_map<std::string, Item> index_;
   std::unordered_map<policy::Key, std::string> id_to_key_;
-  std::unordered_map<std::string, std::uint64_t> miss_timestamps_;
+  /// Transparent hash: miss_timestamps_ is probed with the caller's
+  /// string_view on every set, so lookups must not build a std::string.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  /// iqget miss time per key, consumed by iqset. Any other write or a
+  /// delete of the key drops its entry, so a later iqset never charges the
+  /// interval since a miss that a plain set already answered.
+  std::unordered_map<std::string, std::uint64_t, KeyHash, std::equal_to<>>
+      miss_timestamps_;
   policy::Key next_id_ = 1;
   // Set in flight: the policy already accounts for this id but its chunk is
   // not allocated yet. If pressure eviction picks it as the victim, the set

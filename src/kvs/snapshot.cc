@@ -7,6 +7,9 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "kvs/item.h"
+#include "kvs/protocol.h"
+
 namespace camp::kvs {
 
 namespace {
@@ -96,6 +99,14 @@ SnapshotStats load_snapshot(std::istream& in, KvsStore& store) {
     const auto flags = get_le<std::uint32_t>(in);
     const auto cost = get_le<std::uint32_t>(in);
     const auto ttl_s = get_le<std::uint32_t>(in);
+    // Bound every length before allocating: a corrupt header must not be
+    // able to ask for gigabytes ahead of the truncation check below.
+    if (key_len > kMaxKeyLength) {
+      throw std::runtime_error("snapshot: key length out of range");
+    }
+    if (raw_len > kMaxValueBytes || stored_len > kMaxValueBytes) {
+      throw std::runtime_error("snapshot: value length out of range");
+    }
     key.resize(key_len);
     stored.resize(stored_len);
     in.read(key.data(), key_len);
@@ -103,6 +114,9 @@ SnapshotStats load_snapshot(std::istream& in, KvsStore& store) {
     if (!in) throw std::runtime_error("snapshot: truncated item");
     if (!codec_tag_valid(codec_tag)) {
       throw std::runtime_error("snapshot: unknown codec tag");
+    }
+    if (codec_tag == 0 && stored_len != raw_len) {
+      throw std::runtime_error("snapshot: identity item length mismatch");
     }
     // Compressed payloads must decode to exactly raw_len before they are
     // stored — the same validate-by-decoding rule the pset wire entry

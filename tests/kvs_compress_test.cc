@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "kvs/protocol.h"
 #include "util/rng.h"
@@ -41,6 +43,162 @@ std::string random_value(std::size_t n, std::uint64_t seed) {
   std::string raw(n, '\0');
   for (char& c : raw) c = static_cast<char>(rng.next() & 0xff);
   return raw;
+}
+
+/// Byte-at-a-time PackBits encoder: the specification of the RLE byte
+/// stream, which the word-at-a-time encoder must reproduce exactly.
+std::string reference_rle(std::string_view raw) {
+  constexpr std::size_t kMaxRun = 128;
+  const auto run_length_at = [&](std::size_t i) {
+    std::size_t n = 1;
+    while (n < kMaxRun && i + n < raw.size() && raw[i + n] == raw[i]) ++n;
+    return n;
+  };
+  std::string out;
+  std::size_t i = 0;
+  while (i < raw.size()) {
+    const std::size_t run = run_length_at(i);
+    if (run >= 3) {
+      out.push_back(static_cast<char>(257 - run));
+      out.push_back(raw[i]);
+      i += run;
+      continue;
+    }
+    const std::size_t start = i;
+    while (i < raw.size() && i - start < kMaxRun &&
+           !(i + 2 < raw.size() && raw[i] == raw[i + 1] &&
+             raw[i] == raw[i + 2])) {
+      ++i;
+    }
+    out.push_back(static_cast<char>(i - start - 1));
+    out.append(raw.substr(start, i - start));
+  }
+  return out;
+}
+
+/// RLE is the only codec and every length is eligible, so compress_value
+/// must return reference_rle's bytes whenever they are smaller than raw.
+CompressionConfig rle_only_config() {
+  CompressionConfig config = enabled_config();
+  config.min_value_bytes = 0;
+  config.bdi_max_bytes = 0;
+  return config;
+}
+
+/// Encode `raw` from an exact-size heap copy (no std::string slack past
+/// the last byte, so a word load that over-reads trips ASan) and check it
+/// against the reference encoder.
+void expect_matches_reference(const std::string& raw) {
+  const std::unique_ptr<char[]> exact(new char[raw.size()]);
+  std::memcpy(exact.get(), raw.data(), raw.size());
+  const std::string_view view(exact.get(), raw.size());
+  const std::string want = reference_rle(raw);
+  const CompressResult got = compress_value(view, rle_only_config());
+  if (want.size() < raw.size()) {
+    ASSERT_EQ(got.codec, Codec::kRle) << "len " << raw.size();
+    ASSERT_EQ(got.data, want) << "len " << raw.size();
+  } else {
+    ASSERT_EQ(got.codec, Codec::kIdentity) << "len " << raw.size();
+  }
+  // Under the default config BDI may win instead; when RLE wins it must
+  // still be the reference bytes.
+  const CompressResult dflt = compress_value(view, enabled_config());
+  if (dflt.codec == Codec::kRle) {
+    ASSERT_EQ(dflt.data, want) << "len " << raw.size();
+  }
+}
+
+/// Bytes with no three equal in a row anywhere: a pure literal.
+std::string literal_bytes(std::size_t n, char first) {
+  std::string out(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>(first + static_cast<char>(i % 7));
+  }
+  return out;
+}
+
+/// Random bytes over a `letters`-symbol alphabet: few letters make runs
+/// of every short length, and triples at arbitrary offsets.
+std::string lettered_value(std::size_t n, unsigned letters,
+                           util::Xoshiro256& rng) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>('a' + rng.next() % letters);
+  return out;
+}
+
+/// The perfbench value shape: an 8-byte stamp, then blocks of 128 random
+/// bytes and 128 repeats of one byte.
+std::string half_run_value(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::string out(n, 'v');
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i < 8 || i % 256 < 128) out[i] = static_cast<char>(rng.next() & 0xff);
+  }
+  return out;
+}
+
+TEST(CompressRle, MatchesReferenceAtEveryLengthUpTo300) {
+  util::Xoshiro256 rng(0x5eed);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    expect_matches_reference(std::string(len, 'q'));
+    expect_matches_reference(literal_bytes(len, 'A'));
+    expect_matches_reference(random_value(len, 1000 + len));
+    for (unsigned letters = 1; letters <= 4; ++letters) {
+      expect_matches_reference(lettered_value(len, letters, rng));
+    }
+  }
+}
+
+TEST(CompressRle, MatchesReferenceForRunsAtEveryWordOffset) {
+  const std::vector<std::size_t> runs = {1, 2, 3, 7, 8, 9, 127, 128, 129, 300};
+  for (const std::size_t run : runs) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (const std::size_t suffix : {0, 1, 2, 3, 9, 130}) {
+        expect_matches_reference(literal_bytes(offset, 'A') +
+                                 std::string(run, 'z') +
+                                 literal_bytes(suffix, 'a'));
+      }
+    }
+  }
+}
+
+TEST(CompressRle, MatchesReferenceForTriplesInTheLastThreeBytes) {
+  for (std::size_t lead = 0; lead <= 40; ++lead) {
+    const std::string body = literal_bytes(lead, 'A');
+    expect_matches_reference(body + "zzz");  // triple starts at size - 3
+    expect_matches_reference(body + "zz");   // a pair, never a triple
+    expect_matches_reference(body + "z");
+    expect_matches_reference(body + "zzzz");
+    expect_matches_reference(body + "zzzy");
+  }
+}
+
+TEST(CompressRle, MatchesReferenceAroundThe128ByteLiteralCap) {
+  for (const std::size_t lit : {126, 127, 128, 129, 130, 255, 256, 257, 384}) {
+    const std::string literal = literal_bytes(lit, 'A');
+    expect_matches_reference(literal);
+    for (std::size_t run = 1; run <= 4; ++run) {
+      expect_matches_reference(literal + std::string(run, 'z'));
+      expect_matches_reference(literal + std::string(run, 'z') + "ab");
+    }
+  }
+  // A literal of exactly 128 bytes encodes as one 129-byte frame.
+  const std::string raw = literal_bytes(128, 'A') + std::string(64, 'z');
+  const std::string want = reference_rle(raw);
+  ASSERT_EQ(static_cast<unsigned char>(want[0]), 127u);
+  EXPECT_EQ(want.size(), 129u + 2u);
+  expect_matches_reference(raw);
+}
+
+TEST(CompressRle, MatchesReferenceOnRandomAndHalfRunPayloads) {
+  util::Xoshiro256 rng(0xbeef);
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::size_t len = rng.next() % 17'000;
+    expect_matches_reference(random_value(len, rng.next()));
+    expect_matches_reference(half_run_value(len, rng.next()));
+    expect_matches_reference(random_value(len / 2, rng.next()) +
+                             std::string(len / 2 + 1, 'r'));
+  }
 }
 
 TEST(Compress, DisabledConfigAlwaysIdentity) {
@@ -144,6 +302,16 @@ TEST(Compress, MalformedEncodingsAreRejected) {
   // A literal control promising more bytes than the stream holds.
   EXPECT_FALSE(decompress_value(Codec::kRle, std::string("\x05" "ab"), 6,
                                 out));
+  // A declared raw_len past what the stream can possibly expand to (64x:
+  // one 2-byte frame repeats a byte at most 128 times) is refused before
+  // the decoder reserves it.
+  EXPECT_TRUE(decompress_value(Codec::kRle, std::string("\x81z", 2), 128,
+                               out));
+  EXPECT_EQ(out, std::string(128, 'z'));
+  EXPECT_FALSE(decompress_value(Codec::kRle, std::string("\x81z", 2), 129,
+                                out));
+  EXPECT_FALSE(decompress_value(Codec::kRle, std::string("\x81z", 2),
+                                0xffffffffu, out));
   // Valid stream, wrong declared raw_len.
   const CompressResult rle = compress_value(std::string(256, 'q'), config);
   ASSERT_EQ(rle.codec, Codec::kRle);

@@ -135,6 +135,40 @@ TEST(Engine, IqCostCapture) {
   EXPECT_TRUE(engine.get("unseen").hit);
 }
 
+TEST(Engine, PlainWriteDropsPendingIqMiss) {
+  util::ManualClock clock;
+  EngineConfig config = small_engine();
+  config.cost_time_divisor_ns = 1000;  // microseconds
+  KvsEngine engine(config, camp_factory(), clock);
+  // iqget miss at t=0, answered by a plain set; one second later an iqset
+  // must not charge the whole interval since that old miss.
+  EXPECT_FALSE(engine.iqget("k").hit);
+  ASSERT_TRUE(engine.set("k", "value", 0, 3));
+  clock.advance_ns(1'000'000'000);
+  ASSERT_TRUE(engine.iqset("k", "value", 0));
+  EXPECT_EQ(engine.cost_of("k"), 1u);
+
+  // The same for a delete, and for a set_stored of an encoded value.
+  EXPECT_FALSE(engine.iqget("d").hit);
+  EXPECT_FALSE(engine.del("d"));
+  clock.advance_ns(1'000'000'000);
+  ASSERT_TRUE(engine.iqset("d", "value", 0));
+  EXPECT_EQ(engine.cost_of("d"), 1u);
+
+  EXPECT_FALSE(engine.iqget("s").hit);
+  ASSERT_TRUE(engine.set_stored("s", std::string("\x83q", 2), 4,
+                                Codec::kRle, 0, 3));
+  clock.advance_ns(1'000'000'000);
+  ASSERT_TRUE(engine.iqset("s", "value", 0));
+  EXPECT_EQ(engine.cost_of("s"), 1u);
+
+  // An iqset that does answer its own miss still charges the interval.
+  EXPECT_FALSE(engine.iqget("m").hit);
+  clock.advance_ns(7000);
+  ASSERT_TRUE(engine.iqset("m", "value", 0));
+  EXPECT_EQ(engine.cost_of("m"), 7u);
+}
+
 TEST(Engine, EvictionUnderPressure) {
   util::ManualClock clock;
   EngineConfig config;

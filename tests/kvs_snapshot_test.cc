@@ -5,8 +5,10 @@
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "core/camp.h"
+#include "kvs/protocol.h"
 #include "policy/lru.h"
 #include "util/rng.h"
 
@@ -245,6 +247,132 @@ TEST(Snapshot, RejectsCorruptCompressedItem) {
   std::stringstream corrupt(bytes);
   KvsStore restored(config, camp_factory(), clock);
   EXPECT_THROW(load_snapshot(corrupt, restored), std::runtime_error);
+}
+
+/// A CAMPSNP2 header with one item whose header fields are given: 41
+/// bytes, no payload.
+std::string one_item_header(std::uint32_t key_len, std::uint32_t raw_len,
+                            std::uint32_t stored_len, std::uint8_t codec) {
+  std::string bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+  const auto put32 = [&bytes](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  for (int i = 0; i < 8; ++i) bytes.push_back(i == 0 ? 1 : 0);  // count u64
+  put32(key_len);
+  put32(raw_len);
+  put32(stored_len);
+  bytes.push_back(static_cast<char>(codec));
+  put32(0);  // flags
+  put32(1);  // cost
+  put32(0);  // ttl
+  return bytes;
+}
+
+/// load_snapshot must throw std::runtime_error whose message names `what`.
+void expect_load_error(const std::string& bytes, const std::string& what) {
+  util::ManualClock clock;
+  KvsStore store(small_config(), lru_factory(), clock);
+  std::stringstream in(bytes);
+  try {
+    (void)load_snapshot(in, store);
+    ADD_FAILURE() << "loaded; expected an error naming '" << what << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Snapshot, RejectsOversizedLengthsBeforeAllocating) {
+  // Each header asks for up to 4 GiB; the load must refuse on the length
+  // alone, not allocate and then trip over the missing payload.
+  ASSERT_EQ(one_item_header(0, 0, 0, 0).size(), 41u);
+  expect_load_error(one_item_header(0xffffffffu, 4, 4, 0), "key length");
+  expect_load_error(one_item_header(kMaxKeyLength + 1, 4, 4, 0),
+                    "key length");
+  expect_load_error(one_item_header(1, 0xffffffffu, 0xffffffffu, 0),
+                    "value length");
+  expect_load_error(one_item_header(1, 4, 0xffffffffu, 2), "value length");
+  expect_load_error(one_item_header(1, kMaxValueBytes + 1, 2, 2),
+                    "value length");
+  // In range but with no payload behind it: plain truncation.
+  expect_load_error(one_item_header(kMaxKeyLength, kMaxValueBytes,
+                                    kMaxValueBytes, 0),
+                    "truncated");
+  // An identity item must store exactly its raw bytes.
+  expect_load_error(one_item_header(1, 5, 4, 0) + "k" + "abcd", "identity");
+}
+
+TEST(Snapshot, MutatedAndTruncatedStreamsLoadOrThrow) {
+  // A CAMPSNP2 stream holding RLE, BDI and identity items, then every
+  // truncation of it and a deterministic corpus of byte mutations: each
+  // input either loads or throws std::runtime_error (any other exception
+  // fails the test; a crash or over-read fails it under the sanitizers).
+  util::ManualClock clock;
+  StoreConfig config = small_config();
+  config.engine.compression.enabled = true;
+  KvsStore source(config, camp_factory(), clock);
+  ASSERT_TRUE(source.set("rle", std::string(300, 'z') + "tail", 1, 10));
+  std::string structured(256, '\0');
+  for (std::size_t i = 0; i < structured.size(); i += 8) {
+    const std::uint64_t word = 0x0102030405060708ull + i;
+    std::memcpy(structured.data() + i, &word, 8);
+  }
+  ASSERT_TRUE(source.set("bdi", structured, 2, 20));
+  util::Xoshiro256 rng(0x51a95);
+  std::string random(200, '\0');
+  for (char& c : random) c = static_cast<char>(rng.next() & 0xff);
+  ASSERT_TRUE(source.set("raw", random, 3, 30, /*exptime_s=*/120));
+  std::map<Codec, int> codecs;
+  source.for_each_item([&](const ItemView& item) { ++codecs[item.codec]; });
+  ASSERT_EQ(codecs.size(), 3u) << "the stream must hold all three codecs";
+
+  std::stringstream buffer;
+  ASSERT_EQ(save_snapshot(buffer, source), 3u);
+  const std::string full = buffer.str();
+
+  const auto load_or_throw = [&](const std::string& bytes) {
+    KvsStore target(config, camp_factory(), clock);
+    std::stringstream in(bytes);
+    try {
+      (void)load_snapshot(in, target);
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+    // Whatever loaded must read back without a decode failure.
+    std::vector<std::string> keys;
+    target.for_each_item(
+        [&](const ItemView& item) { keys.emplace_back(item.key); });
+    for (const std::string& key : keys) EXPECT_TRUE(target.get(key).hit);
+    EXPECT_EQ(target.aggregated_stats().decompress_failures, 0u);
+    return true;
+  };
+
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    EXPECT_FALSE(load_or_throw(full.substr(0, cut))) << "cut at " << cut;
+  }
+  int loaded = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    std::string bytes = full;
+    if (iter % 3 == 0) {
+      // Overwrite one aligned-or-not u32 with an extreme length.
+      const std::size_t at = rng.next() % (bytes.size() - 3);
+      const std::uint32_t v = iter % 2 ? 0xffffffffu : kMaxValueBytes + 1;
+      std::memcpy(bytes.data() + at, &v, 4);
+    } else {
+      const int flips = 1 + static_cast<int>(rng.next() % 3);
+      for (int f = 0; f < flips; ++f) {
+        bytes[rng.next() % bytes.size()] ^=
+            static_cast<char>(1 + rng.next() % 255);
+      }
+    }
+    loaded += load_or_throw(bytes) ? 1 : 0;
+  }
+  // Payload flips that keep a valid encoding (identity bytes, flags,
+  // cost) load; header damage throws. Both must be seen.
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, 1500);
 }
 
 TEST(Snapshot, LoadsV1FormatAsIdentity) {
