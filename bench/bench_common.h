@@ -1,26 +1,23 @@
-// Shared support for the figure-reproduction benches — now a thin adapter
-// over the src/figures layer, which owns the trace bundles, the policy
-// factories, and the per-figure computations (the copy-pasted setup that
-// used to live here).
+// Shared support for the google-benchmark binaries (micro, ablation,
+// related-work and hierarchy studies): the trace bundle and CAMP factory
+// they replay, taken from the src/figures layer so a bench run and a
+// `camp_figures` run see byte-identical traces.
 //
 // Scale: by default traces are generated at 1/10th of the paper's 4M rows
 // so the whole bench suite finishes in minutes. Set CAMP_PAPER_SCALE=1 to
-// run the paper's full scale (4M rows per trace, 10 phase traces, ...).
+// run the paper's full scale.
 //
-// Determinism: every trace accessor takes an EXPLICIT seed (defaulting to
+// Determinism: the trace accessor takes an EXPLICIT seed (defaulting to
 // the canonical paper seed) and forwards to figures::shared_trace, which
 // is keyed by (kind, scale, seed) — no hidden global state feeds the
-// generators, so bench runs and `camp_figures` runs see byte-identical
-// traces (asserted by tests/figures_repeatability_test.cc).
+// generators.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "figures/factories.h"
-#include "figures/figure_spec.h"
 #include "figures/traces.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"
@@ -28,93 +25,19 @@
 
 namespace camp::bench {
 
-using figures::TraceBundle;
-
-struct Scale {
-  std::uint64_t num_keys;
-  std::uint64_t num_requests;
-  bool paper_scale;
-};
-
-inline Scale scale() {
-  const figures::Scale s = figures::Scale::from_env();
-  return Scale{s.num_keys, s.num_requests, s.name == "paper"};
-}
-
-/// Figure options matching the bench environment (scale from
-/// CAMP_PAPER_SCALE, canonical seed, wall-clock metrics enabled — benches
-/// measure time by construction).
-inline figures::FigureOptions figure_options() {
-  figures::FigureOptions options;
-  options.scale = figures::Scale::from_env();
-  options.seed = figures::kCanonicalSeed;
-  options.timing = true;
-  return options;
-}
-
-/// The paper's default x-axis: cache size ratios.
-inline std::vector<double> paper_cache_ratios() {
-  return figures::paper_cache_ratios();
-}
-
-// ---- memoised trace bundles (explicit seeds, shared with camp_figures) ----
-
-inline const TraceBundle& default_trace(
+/// The paper's three-tier-cost trace at the environment's scale.
+inline const figures::TraceBundle& default_trace(
     std::uint64_t seed = figures::seed_for(figures::TraceKind::kDefault,
                                            figures::kCanonicalSeed)) {
   return figures::shared_trace(figures::TraceKind::kDefault,
                                figures::Scale::from_env(), seed);
 }
 
-inline const TraceBundle& varsize_trace(
-    std::uint64_t seed = figures::seed_for(figures::TraceKind::kVarSize,
-                                           figures::kCanonicalSeed)) {
-  return figures::shared_trace(figures::TraceKind::kVarSize,
-                               figures::Scale::from_env(), seed);
-}
-
-inline const TraceBundle& equisize_trace(
-    std::uint64_t seed = figures::seed_for(figures::TraceKind::kEquiSize,
-                                           figures::kCanonicalSeed)) {
-  return figures::shared_trace(figures::TraceKind::kEquiSize,
-                               figures::Scale::from_env(), seed);
-}
-
-/// Ten back-to-back phase traces with disjoint key spaces (Section 3.1).
-/// unique_bytes is ONE phase's footprint (the paper's cache size ratio is
-/// relative to a single trace's footprint).
-inline const TraceBundle& phased_trace(
-    std::uint64_t seed = figures::seed_for(figures::TraceKind::kPhased,
-                                           figures::kCanonicalSeed)) {
-  return figures::shared_trace(figures::TraceKind::kPhased,
-                               figures::Scale::from_env(), seed);
-}
-
-// ---- policy factories (re-exported from the figures layer) ----------------
-
-inline sim::CacheFactory lru_factory() { return figures::lru_factory(); }
-
 inline sim::CacheFactory camp_factory(int precision) {
   return figures::camp_factory(precision);
 }
 
-inline sim::CacheFactory gds_factory() { return figures::gds_factory(); }
-
-inline sim::CacheFactory pooled_cost_factory(
-    const std::vector<trace::TraceRecord>& records) {
-  return figures::pooled_cost_factory(records);
-}
-
-inline sim::CacheFactory pooled_uniform_factory(
-    const std::vector<trace::TraceRecord>& records) {
-  return figures::pooled_uniform_factory(records);
-}
-
-inline sim::CacheFactory pooled_range_factory() {
-  return figures::pooled_range_factory();
-}
-
-/// Run one simulation and report the paper metrics as counters.
+/// Report one simulation's paper metrics as counters.
 inline void report_point(benchmark::State& state, const sim::Metrics& m) {
   state.counters["cost_miss_ratio"] = m.cost_miss_ratio();
   state.counters["miss_rate"] = m.miss_rate();

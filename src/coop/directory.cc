@@ -4,16 +4,14 @@
 
 namespace camp::coop {
 
-template <class K>
-void BasicReplicaDirectory<K>::add(const Key& key, NodeId node) {
+void ReplicaDirectory::add(const Key& key, NodeId node) {
   auto& nodes = holders_[key];
   if (std::find(nodes.begin(), nodes.end(), node) != nodes.end()) return;
   nodes.push_back(node);
   ++total_replicas_;
 }
 
-template <class K>
-bool BasicReplicaDirectory<K>::remove(const Key& key, NodeId node) {
+bool ReplicaDirectory::remove(const Key& key, NodeId node) {
   const auto it = holders_.find(key);
   if (it == holders_.end()) return false;
   auto& nodes = it->second;
@@ -28,8 +26,7 @@ bool BasicReplicaDirectory<K>::remove(const Key& key, NodeId node) {
   return false;
 }
 
-template <class K>
-std::vector<K> BasicReplicaDirectory<K>::remove_node(NodeId node) {
+std::vector<std::string> ReplicaDirectory::remove_node(NodeId node) {
   std::vector<Key> orphaned;
   for (auto it = holders_.begin(); it != holders_.end();) {
     auto& nodes = it->second;
@@ -47,33 +44,21 @@ std::vector<K> BasicReplicaDirectory<K>::remove_node(NodeId node) {
       ++it;
     }
   }
-  // Orphans surface in hash-map order; sort so every consumer (the sim
-  // group's guard intake, the cluster's decommission drain) processes them
-  // in a run-to-run and build-to-build deterministic order.
+  // Orphans surface in hash-map order; sort so every consumer processes
+  // them in a run-to-run and build-to-build deterministic order.
   std::sort(orphaned.begin(), orphaned.end());
   return orphaned;
 }
 
-template <class K>
-bool BasicReplicaDirectory<K>::holds(const Key& key, NodeId node) const {
+bool ReplicaDirectory::holds(const Key& key, NodeId node) const {
   const auto it = holders_.find(key);
   if (it == holders_.end()) return false;
   return std::find(it->second.begin(), it->second.end(), node) !=
          it->second.end();
 }
 
-template <class K>
-bool BasicReplicaDirectory<K>::is_last_replica(const Key& key,
-                                               NodeId node) const {
-  const auto it = holders_.find(key);
-  return it != holders_.end() && it->second.size() == 1 &&
-         it->second.front() == node;
-}
-
-template <class K>
-std::optional<typename BasicReplicaDirectory<K>::NodeId>
-BasicReplicaDirectory<K>::any_holder(const Key& key,
-                                     std::optional<NodeId> exclude) const {
+std::optional<ReplicaDirectory::NodeId> ReplicaDirectory::any_holder(
+    const Key& key, std::optional<NodeId> exclude) const {
   const auto it = holders_.find(key);
   if (it == holders_.end()) return std::nullopt;
   for (const NodeId node : it->second) {
@@ -82,29 +67,23 @@ BasicReplicaDirectory<K>::any_holder(const Key& key,
   return std::nullopt;
 }
 
-template <class K>
-std::vector<typename BasicReplicaDirectory<K>::NodeId>
-BasicReplicaDirectory<K>::holders_of(const Key& key) const {
+std::vector<ReplicaDirectory::NodeId> ReplicaDirectory::holders_of(
+    const Key& key) const {
   const auto it = holders_.find(key);
   return it == holders_.end() ? std::vector<NodeId>{} : it->second;
 }
 
-template <class K>
-std::size_t BasicReplicaDirectory<K>::replica_count(const Key& key) const {
+std::size_t ReplicaDirectory::replica_count(const Key& key) const {
   const auto it = holders_.find(key);
   return it == holders_.end() ? 0 : it->second.size();
 }
 
-template <class K>
-std::vector<std::pair<K, std::vector<typename BasicReplicaDirectory<K>::NodeId>>>
-BasicReplicaDirectory<K>::snapshot() const {
+std::vector<std::pair<std::string, std::vector<ReplicaDirectory::NodeId>>>
+ReplicaDirectory::snapshot() const {
   std::vector<std::pair<Key, std::vector<NodeId>>> out;
   out.reserve(holders_.size());
   for (const auto& [key, nodes] : holders_) out.emplace_back(key, nodes);
   return out;
 }
-
-template class BasicReplicaDirectory<policy::Key>;
-template class BasicReplicaDirectory<std::string>;
 
 }  // namespace camp::coop

@@ -1,29 +1,22 @@
-// Replica directory for the cooperative caching group: which nodes hold a
-// copy of which key. This is the metadata service a KOSAR-style cooperative
-// cache coordinates through (paper Section 6); here it is an in-process
-// structure the group keeps transactionally consistent with the node caches
-// via their eviction listeners.
-//
-// The directory is generic over the key type: the single-threaded simulation
-// substrate (coop/group.h) tracks policy::Key ids, while the networked KVS
-// cluster (kvs/cluster.h) tracks the wire's string keys. Both share this one
-// implementation via explicit instantiation (directory.cc).
+// Replica directory for the cooperative cache cluster (kvs/cluster.h):
+// which nodes hold a copy of which key. This is the metadata service a
+// KOSAR-style cooperative cache coordinates through (paper Section 6); here
+// it is an in-process structure the cluster keeps transactionally
+// consistent with the node stores via their eviction and stored hooks.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
-
-#include "policy/cache_iface.h"
 
 namespace camp::coop {
 
-template <class K>
-class BasicReplicaDirectory {
+class ReplicaDirectory {
  public:
-  using Key = K;
+  using Key = std::string;
   using NodeId = std::uint32_t;
 
   /// Record that `node` holds a replica of `key`. Duplicate adds are no-ops.
@@ -39,9 +32,6 @@ class BasicReplicaDirectory {
 
   [[nodiscard]] bool holds(const Key& key, NodeId node) const;
 
-  /// True when `node` is the only holder of `key`.
-  [[nodiscard]] bool is_last_replica(const Key& key, NodeId node) const;
-
   /// Any holder of `key` other than `exclude` (used for peer fetches).
   [[nodiscard]] std::optional<NodeId> any_holder(
       const Key& key, std::optional<NodeId> exclude = std::nullopt) const;
@@ -50,9 +40,6 @@ class BasicReplicaDirectory {
   [[nodiscard]] std::vector<NodeId> holders_of(const Key& key) const;
 
   [[nodiscard]] std::size_t replica_count(const Key& key) const;
-  [[nodiscard]] std::size_t tracked_keys() const noexcept {
-    return holders_.size();
-  }
   [[nodiscard]] std::size_t total_replicas() const noexcept {
     return total_replicas_;
   }
@@ -68,14 +55,5 @@ class BasicReplicaDirectory {
   std::unordered_map<Key, std::vector<NodeId>> holders_;
   std::size_t total_replicas_ = 0;
 };
-
-extern template class BasicReplicaDirectory<policy::Key>;
-extern template class BasicReplicaDirectory<std::string>;
-
-/// The simulation group's directory (policy key ids).
-using ReplicaDirectory = BasicReplicaDirectory<policy::Key>;
-
-/// The networked cluster's directory (wire string keys).
-using StringReplicaDirectory = BasicReplicaDirectory<std::string>;
 
 }  // namespace camp::coop

@@ -1,4 +1,4 @@
-// Consistent-hash ring used by the cooperative caching group (coop/group.h)
+// Consistent-hash ring used by the cooperative cache cluster (kvs/cluster.h)
 // to route keys to nodes. Classic Karger-style ring with virtual nodes:
 // adding or removing a node remaps only the keys adjacent to its virtual
 // points, which is what lets a cooperative KVS group grow and shrink
@@ -39,12 +39,6 @@ class HashRing {
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
-  }
-  [[nodiscard]] bool contains_node(std::uint32_t node_id) const noexcept {
-    return nodes_.contains(node_id);
-  }
-  [[nodiscard]] const std::set<std::uint32_t>& nodes() const noexcept {
-    return nodes_;
   }
 
  private:

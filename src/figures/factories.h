@@ -1,6 +1,5 @@
 // Cache factories for the figure series, shared by the FigureSpec registry
-// and the bench adapters (formerly copy-pasted across bench_common.h and
-// the bench binaries).
+// and the google-benchmark studies under bench/.
 #pragma once
 
 #include <string>

@@ -1,14 +1,10 @@
 // FigureSpec: one paper figure as a first-class, enumerable, deterministic
 // computation.
 //
-// A spec exposes its points (series name x x-axis value) up front, so both
-// drivers share one source of truth:
-//
-//   * FigureRunner (figure_runner.h) runs every point and emits the
-//     figure's rows for the CSV/JSON pipeline and the committed baselines;
-//   * the bench adapters (bench/bench_figure_adapter.h) register one
-//     google-benchmark case per point and report the same metrics as
-//     counters.
+// A spec exposes its points (series name x x-axis value) up front;
+// FigureRunner (figure_runner.h) runs every point and emits the figure's
+// rows for the CSV/JSON pipeline and the committed baselines, and
+// `camp_figures --timing` runs the same points with wall-clock metrics.
 //
 // All figure computations are deterministic functions of FigureOptions
 // (scale, seed). Wall-clock throughput metrics are only produced when

@@ -68,9 +68,11 @@ KvsClient::KvsClient(const std::string& host, std::uint16_t port) {
 KvsClient::~KvsClient() {
   if (fd_ >= 0) {
     // Best-effort courtesy quit; the server may already be gone and a
-    // destructor must not throw.
+    // destructor must not throw. A signal must not swallow it either.
     static constexpr char kQuit[] = "quit\r\n";
-    (void)::send(fd_, kQuit, sizeof(kQuit) - 1, MSG_NOSIGNAL);
+    (void)net::retry_eintr([&] {
+      return ::send(fd_, kQuit, sizeof(kQuit) - 1, MSG_NOSIGNAL);
+    });
     ::close(fd_);
   }
 }

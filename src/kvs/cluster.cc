@@ -405,10 +405,10 @@ bool CoopCluster::fan_out_write(NodeId self, KvsStore* local,
                                 std::string_view key, std::string_view value,
                                 std::uint32_t flags, std::uint32_t cost,
                                 std::uint32_t exptime_s, bool iq) {
-  // Ring order, home first — the order CoopGroup::install_replicas writes,
-  // so evictions (and therefore every downstream counter) line up with the
-  // simulator. The cluster mutex is NOT held here: each write takes the
-  // target store's shard lock, whose critical section feeds the hooks.
+  // Ring order, home first, so evictions (and therefore every downstream
+  // counter) are deterministic when requests run one at a time. The cluster
+  // mutex is NOT held here: each write takes the target store's shard lock,
+  // whose critical section feeds the hooks.
   bool home_ok = false;
   bool all_ok = true;
   for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -638,8 +638,8 @@ std::size_t CoopCluster::repair_tick(std::size_t max_keys) {
         std::min<std::size_t>(config_.replication, live_count);
 
     // Candidates: every directory key whose LIVE holder count is below the
-    // achievable replication level, in sorted (route, key) order — the same
-    // numeric order the simulator twin sweeps its u64 keys in.
+    // achievable replication level, in sorted (route, key) order, so the
+    // sweep schedule does not depend on hash-map walk order.
     struct Candidate {
       std::uint64_t route = 0;
       std::string key;
@@ -928,8 +928,8 @@ StoredGetResult CoopCluster::peer_fetch(NodeId holder, std::string_view key) {
   }
   if (port == 0) {
     // In-process fetch: a real stored-form get at the holder, so its
-    // eviction policy sees the touch exactly as the simulator's peer path
-    // does — and a compressed pair never pays a decompress just to move.
+    // eviction policy sees the touch exactly as a wire pget would — and a
+    // compressed pair never pays a decompress just to move.
     return store->get_stored(key);
   }
   const std::shared_ptr<PeerLink> link = link_for(holder);

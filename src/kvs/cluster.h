@@ -1,8 +1,9 @@
-// Networked cooperative KVS cluster: coop::CoopGroup's four-step request
-// flow (local hit -> directory peer fetch -> last-replica guard -> miss)
-// lifted out of the single-threaded simulation substrate and onto real
-// KvsStore nodes, the KOSAR-style deployment the paper names as future work
-// in Section 6.
+// Cooperative KVS cluster: a four-step request flow (local hit -> directory
+// peer fetch -> last-replica guard -> miss) over real KvsStore nodes, the
+// KOSAR-style decentralized CAMP deployment the paper names as future work
+// in Section 6. The same cluster runs in-process (ClusterClient over
+// CoopNodeClients, deterministic under a ManualClock: tests, figures and the
+// cooperative_cache example) and over TCP (cluster-attached KvsServers).
 //
 // Topology: N KvsServer (or bare KvsStore) nodes, one shared CoopCluster
 // holding the consistent-hash ring, the string-keyed replica directory and
@@ -16,14 +17,14 @@
 //   4. otherwise                   -> miss: the client recomputes and
 //                                     refills with a set to the home node
 //
-// Unlike the simulator's guard (metadata only), the cluster guard parks the
-// actual value bytes: when a node evicts the group's final copy of a pair,
-// the bytes move into a byte-bounded FIFO with a request-count lease, so a
-// re-request within the lease restores the pair without a recompute — and a
-// pair nobody asks for again cannot occupy the cluster indefinitely. With
-// value compression on, the guard parks the pair's STORED (compressed)
-// form and charges the compressed chunk size against its byte budget, so
-// the same guard_capacity_bytes shelters proportionally more pairs.
+// The last-replica guard parks the actual value bytes: when a node evicts
+// the cluster's final copy of a pair, the bytes move into a byte-bounded
+// FIFO with a request-count lease, so a re-request within the lease
+// restores the pair without a recompute — and a pair nobody asks for again
+// cannot occupy the cluster indefinitely. With value compression on, the
+// guard parks the pair's STORED (compressed) form and charges the
+// compressed chunk size against its byte budget, so the same
+// guard_capacity_bytes shelters proportionally more pairs.
 //
 // Membership: join() adds a node to the ring (only ring-adjacent keys remap;
 // stale placements heal through the peer-fetch + promote path). leave()
@@ -31,11 +32,11 @@
 // last replicas drain into the guard, and the store is flushed.
 //
 // Replication: with ClusterConfig::replication = R > 1, every set/iqset
-// fans out from the home node to the first R distinct ring nodes (the same
-// HashRing::nodes_for placement the simulator's CoopGroup uses), with a
-// WriteAckPolicy deciding whether replicas are best-effort (kAckHome) or
-// required (kAckAll). Reads still route to the home node; ClusterClient
-// fails a read over to the next ring replica when the home transport dies.
+// fans out from the home node to the first R distinct ring nodes
+// (HashRing::nodes_for placement), with a WriteAckPolicy deciding whether
+// replicas are best-effort (kAckHome) or required (kAckAll). Reads still
+// route to the home node; ClusterClient fails a read over to the next ring
+// replica when the home transport dies.
 //
 // Concurrency: the cluster mutex is a LEAF lock guarding only the shared
 // metadata (ring, directory, guard, counters). It is never held across a
@@ -69,8 +70,8 @@ class KvsClient;
 using ClusterNodeId = std::uint32_t;
 
 /// The 64-bit routing key a string key hashes to before it meets the ring
-/// (FNV-1a; the ring applies its own finalizing mix). Exposed so tests and
-/// the sim-equivalence harness can reproduce the cluster's placement.
+/// (FNV-1a; the ring applies its own finalizing mix). Exposed so tests can
+/// reproduce the cluster's placement.
 [[nodiscard]] std::uint64_t cluster_route_key(std::string_view key) noexcept;
 
 /// How many replica acks a fanned-out write needs before it reports
@@ -92,8 +93,7 @@ struct ClusterConfig {
 
   /// Replication factor: set/iqset fan out to the first `replication`
   /// DISTINCT ring nodes clockwise from the key (HashRing::nodes_for),
-  /// clamped to the live node count — the same placement rule
-  /// coop::CoopConfig::replication uses. 1 = home-only writes (the legacy
+  /// clamped to the live node count. 1 = home-only writes (the legacy
   /// path). Promotions and guard reinstatements stay single-copy either
   /// way; extra replicas are re-created by the next miss refill.
   std::uint32_t replication = 1;
@@ -114,8 +114,8 @@ struct ClusterConfig {
   /// figures, or by a RepairDriver thread in live deployments.
   RepairConfig repair;
 
-  /// Split first-ever requests out of the miss counters (the simulator's
-  /// cold-exclusion metric rule). Costs memory proportional to the number
+  /// Split first-ever requests out of the miss counters (sim::Metrics'
+  /// cold-exclusion rule). Costs memory proportional to the number
   /// of unique keys ever requested — right for bounded traces (figures,
   /// tests, equivalence runs); turn OFF for long-lived serving deployments,
   /// where every miss then counts as `misses` and `cold_misses` stays 0.
@@ -127,7 +127,7 @@ struct ClusterConfig {
 /// Cluster-wide counters. Deterministic under a single-threaded driver
 /// (the fig_coop_cluster baseline); exact under any driver, just
 /// schedule-dependent then. Cold misses (first request of a key) are split
-/// out so hit ratios match the simulator's cold-exclusion rule.
+/// out so hit ratios follow sim::Metrics' cold-exclusion rule.
 struct ClusterCounters {
   std::uint64_t requests = 0;  // coop get requests
   std::uint64_t local_hits = 0;
@@ -155,8 +155,7 @@ struct ClusterCounters {
   std::uint64_t guard_accounting_breaks = 0;
 
   /// Anti-entropy ledger (sweep / read repair / hinted handoff); pinned
-  /// field-by-field against coop::CoopMetrics::repair in the equivalence
-  /// test.
+  /// field by field by kvs_cluster_equivalence_test's golden churn ledgers.
   RepairCounters repair;
 
   [[nodiscard]] double local_hit_ratio() const noexcept {
@@ -410,7 +409,7 @@ class CoopCluster {
   mutable util::Mutex mutex_{util::LockRank::kClusterLeaf};
   coop::HashRing ring_ CAMP_GUARDED_BY(mutex_);
   std::map<NodeId, Node> nodes_ CAMP_GUARDED_BY(mutex_);
-  coop::StringReplicaDirectory directory_ CAMP_GUARDED_BY(mutex_);
+  coop::ReplicaDirectory directory_ CAMP_GUARDED_BY(mutex_);
   ClusterCounters counters_ CAMP_GUARDED_BY(mutex_);
   std::unordered_set<std::string> seen_ CAMP_GUARDED_BY(mutex_);  // cold-miss
 
@@ -423,7 +422,7 @@ class CoopCluster {
 
   // Hinted-handoff queue (budget set from config_.repair in the ctor) and
   // the bounded-sweep resume cursor (last key processed by a max_keys tick).
-  HintQueue<std::string> hints_ CAMP_GUARDED_BY(mutex_);
+  HintQueue hints_ CAMP_GUARDED_BY(mutex_);
   std::optional<std::string> sweep_cursor_ CAMP_GUARDED_BY(mutex_);
 
   // Guards the link MAP, not the links; ranks below the per-link mutex so

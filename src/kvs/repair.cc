@@ -1,14 +1,6 @@
 #include "kvs/repair.h"
 
-#include <string>
-
 namespace camp::kvs {
-
-// Anchor the two HintQueue instantiations the cluster (string keys) and the
-// simulator twin (u64 policy keys) share, so every TU links against one
-// definition.
-template class HintQueue<std::string>;
-template class HintQueue<std::uint64_t>;
 
 RepairDriver::RepairDriver(std::function<void()> tick,
                            std::chrono::milliseconds interval)

@@ -15,21 +15,20 @@
 //     fails) queues a bounded, byte-budgeted hint; the rejoining node drains
 //     its hints before serving traffic (CoopCluster::heal_node).
 //
-// Everything here is deterministic and counter-metered so the repair
-// schedule itself can be baselined and pinned counter-for-counter against
-// the simulator twin (coop::CoopGroup mirrors all three mechanisms with the
-// same planning helpers below).
+// Everything here is deterministic and counter-metered, so the repair
+// schedule itself is baselined (fig_coop_cluster's churn-repair series) and
+// pinned counter for counter by kvs_cluster_equivalence_test's golden
+// churn ledgers.
 //
-// Layering: this header is dependency-free (std only) so BOTH substrates —
-// kvs/cluster.h (string keys) and coop/group.h (u64 policy keys) — share
-// one implementation of the hint queue and the repair planners. Shared
-// planners are the equivalence argument: the cluster and the simulator
-// cannot disagree about a repair schedule they compute with the same code.
+// Layering: this header is dependency-free (std only). The planners are
+// pure functions of the ring order and a liveness/holder predicate, so they
+// are unit-tested on their own (kvs_cluster_repair_test) apart from the
+// cluster that calls them.
 //
 // Locking: HintQueue is externally synchronized — the cluster keeps it
-// behind its leaf mutex (CAMP_GUARDED_BY), the simulator is single-
-// threaded. RepairDriver deliberately owns NO mutex (an atomic flag and a
-// sliced sleep), so it adds nothing to the lock-rank hierarchy.
+// behind its leaf mutex (CAMP_GUARDED_BY). RepairDriver deliberately owns
+// NO mutex (an atomic flag and a sliced sleep), so it adds nothing to the
+// lock-rank hierarchy.
 #pragma once
 
 #include <atomic>
@@ -38,6 +37,7 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -59,8 +59,7 @@ struct RepairConfig {
   std::uint64_t hint_budget_bytes = 64u << 10;
 };
 
-/// Deterministic repair ledger, embedded in both ClusterCounters and
-/// coop::CoopMetrics so the equivalence test compares it field by field.
+/// Deterministic repair ledger, embedded in ClusterCounters.
 struct RepairCounters {
   /// Reads served at a non-home replica whose value was re-registered at
   /// the (live, missing) home node.
@@ -89,13 +88,11 @@ inline constexpr std::uint64_t kHintOverheadBytes = 32;
 
 /// Bounded FIFO of (target node, key) hints with a byte budget and a
 /// (target, key) dedup index. Externally synchronized (see file comment).
-/// Instantiated for std::string (cluster) and std::uint64_t (simulator).
-template <class K>
 class HintQueue {
  public:
   struct Hint {
     std::uint32_t target = 0;
-    K key{};
+    std::string key;
     std::uint64_t charge = 0;
   };
 
@@ -105,8 +102,8 @@ class HintQueue {
   /// Queue a hint. A duplicate (target, key) is a silent no-op; an
   /// over-budget push squeezes the OLDEST hints out first (each squeeze
   /// counts as a drop), and a hint that cannot fit at all is dropped.
-  void push(std::uint32_t target, const K& key, std::uint64_t charge,
-            RepairCounters& counters) {
+  void push(std::uint32_t target, const std::string& key,
+            std::uint64_t charge, RepairCounters& counters) {
     if (budget_ == 0 || charge > budget_) {
       ++counters.hints_dropped;
       return;
@@ -124,8 +121,8 @@ class HintQueue {
 
   /// Remove and return every key hinted at `target`, oldest first (the
   /// order the writes were missed in).
-  [[nodiscard]] std::vector<K> drain(std::uint32_t target) {
-    std::vector<K> keys;
+  [[nodiscard]] std::vector<std::string> drain(std::uint32_t target) {
+    std::vector<std::string> keys;
     for (auto it = fifo_.begin(); it != fifo_.end();) {
       const auto next = std::next(it);
       if (it->target == target) {
@@ -139,7 +136,7 @@ class HintQueue {
 
   /// Cancel every hint for `key` (cluster-wide delete). Returns how many
   /// were removed.
-  std::size_t erase_key(const K& key) {
+  std::size_t erase_key(const std::string& key) {
     std::size_t removed = 0;
     for (auto it = fifo_.begin(); it != fifo_.end();) {
       const auto next = std::next(it);
@@ -167,14 +164,15 @@ class HintQueue {
     return removed;
   }
 
-  [[nodiscard]] bool contains(std::uint32_t target, const K& key) const {
+  [[nodiscard]] bool contains(std::uint32_t target,
+                              const std::string& key) const {
     return index_.find(std::make_pair(target, key)) != index_.end();
   }
   [[nodiscard]] std::size_t size() const noexcept { return fifo_.size(); }
   [[nodiscard]] std::uint64_t used_bytes() const noexcept { return used_; }
 
  private:
-  void drop(typename std::list<Hint>::iterator it) {
+  void drop(std::list<Hint>::iterator it) {
     used_ -= it->charge;
     index_.erase(std::make_pair(it->target, it->key));
     fifo_.erase(it);
@@ -183,15 +181,11 @@ class HintQueue {
   std::list<Hint> fifo_;
   // std::map (not unordered) so iteration order never matters and the pair
   // key needs only operator<.
-  std::map<std::pair<std::uint32_t, K>,
-           typename std::list<Hint>::iterator>
+  std::map<std::pair<std::uint32_t, std::string>, std::list<Hint>::iterator>
       index_;
   std::uint64_t budget_ = 0;
   std::uint64_t used_ = 0;
 };
-
-extern template class HintQueue<std::string>;
-extern template class HintQueue<std::uint64_t>;
 
 /// A sloppy-quorum write plan: where an R-replica write actually goes when
 /// some preferred nodes are down.
@@ -205,9 +199,7 @@ struct SloppyWritePlan {
   std::vector<std::uint32_t> hinted;
 };
 
-/// Shared by CoopCluster::set/iqset and CoopGroup::install_replicas —
-/// the two substrates plan a fanned-out write with the same code, so the
-/// equivalence test can pin their hint ledgers exactly.
+/// Used by CoopCluster::set/iqset to plan a fanned-out write.
 /// `ring_order` is the FULL ring preference order for the key
 /// (HashRing::nodes_for(key, node_count)); `is_live(node)` says whether a
 /// node can take writes right now.
@@ -233,8 +225,8 @@ template <class IsLive>
 
 /// Anti-entropy target selection for one under-replicated key: the live
 /// ring-preferred nodes that do not yet hold it, in preference order, just
-/// enough to bring the live copy count up to `want`. Shared by
-/// CoopCluster::repair_tick and CoopGroup::repair_tick.
+/// enough to bring the live copy count up to `want`. Used by
+/// CoopCluster::repair_tick.
 template <class IsLive, class Holds>
 [[nodiscard]] std::vector<std::uint32_t> plan_key_repair_targets(
     const std::vector<std::uint32_t>& ring_order, std::size_t want,

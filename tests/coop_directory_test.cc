@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -12,74 +14,75 @@ namespace {
 
 TEST(ReplicaDirectory, AddRemoveRoundTrip) {
   ReplicaDirectory dir;
-  dir.add(1, 10);
-  EXPECT_TRUE(dir.holds(1, 10));
-  EXPECT_EQ(dir.replica_count(1), 1u);
-  EXPECT_TRUE(dir.is_last_replica(1, 10));
-  EXPECT_TRUE(dir.remove(1, 10)) << "removing the only copy drops the last";
-  EXPECT_FALSE(dir.holds(1, 10));
-  EXPECT_EQ(dir.tracked_keys(), 0u);
+  dir.add("k1", 10);
+  EXPECT_TRUE(dir.holds("k1", 10));
+  EXPECT_EQ(dir.replica_count("k1"), 1u);
+  EXPECT_TRUE(dir.remove("k1", 10)) << "removing the only copy drops the last";
+  EXPECT_FALSE(dir.holds("k1", 10));
+  EXPECT_TRUE(dir.snapshot().empty());
 }
 
 TEST(ReplicaDirectory, DuplicateAddIsNoOp) {
   ReplicaDirectory dir;
-  dir.add(1, 10);
-  dir.add(1, 10);
-  EXPECT_EQ(dir.replica_count(1), 1u);
+  dir.add("k1", 10);
+  dir.add("k1", 10);
+  EXPECT_EQ(dir.replica_count("k1"), 1u);
   EXPECT_EQ(dir.total_replicas(), 1u);
 }
 
 TEST(ReplicaDirectory, LastReplicaSemantics) {
   ReplicaDirectory dir;
-  dir.add(1, 10);
-  dir.add(1, 11);
-  EXPECT_FALSE(dir.is_last_replica(1, 10));
-  EXPECT_FALSE(dir.remove(1, 11)) << "a second copy remains";
-  EXPECT_TRUE(dir.is_last_replica(1, 10));
-  EXPECT_TRUE(dir.remove(1, 10));
+  dir.add("k1", 10);
+  dir.add("k1", 11);
+  EXPECT_EQ(dir.holders_of("k1"), (std::vector<std::uint32_t>{10, 11}));
+  EXPECT_FALSE(dir.remove("k1", 11)) << "a second copy remains";
+  EXPECT_EQ(dir.holders_of("k1"), (std::vector<std::uint32_t>{10}));
+  EXPECT_TRUE(dir.remove("k1", 10));
 }
 
 TEST(ReplicaDirectory, RemoveUntrackedIsSilent) {
   ReplicaDirectory dir;
-  EXPECT_FALSE(dir.remove(1, 10));
-  dir.add(1, 10);
-  EXPECT_FALSE(dir.remove(1, 99));  // wrong node
-  EXPECT_EQ(dir.replica_count(1), 1u);
+  EXPECT_FALSE(dir.remove("k1", 10));
+  dir.add("k1", 10);
+  EXPECT_FALSE(dir.remove("k1", 99));  // wrong node
+  EXPECT_EQ(dir.replica_count("k1"), 1u);
 }
 
 TEST(ReplicaDirectory, AnyHolderRespectsExclusion) {
   ReplicaDirectory dir;
-  dir.add(1, 10);
-  EXPECT_EQ(dir.any_holder(1), std::optional<std::uint32_t>(10));
-  EXPECT_EQ(dir.any_holder(1, 10), std::nullopt);
-  dir.add(1, 11);
-  const auto other = dir.any_holder(1, 10);
+  dir.add("k1", 10);
+  EXPECT_EQ(dir.any_holder("k1"), std::optional<std::uint32_t>(10));
+  EXPECT_EQ(dir.any_holder("k1", 10), std::nullopt);
+  dir.add("k1", 11);
+  const auto other = dir.any_holder("k1", 10);
   ASSERT_TRUE(other.has_value());
   EXPECT_EQ(*other, 11u);
-  EXPECT_EQ(dir.any_holder(2), std::nullopt);
+  EXPECT_EQ(dir.any_holder("k2"), std::nullopt);
 }
 
 TEST(ReplicaDirectory, RemoveNodeReportsOrphans) {
   ReplicaDirectory dir;
-  dir.add(1, 10);             // orphaned when 10 leaves
-  dir.add(2, 10);
-  dir.add(2, 11);             // survives on 11
-  dir.add(3, 11);             // untouched
+  dir.add("k1", 10);  // orphaned when 10 leaves
+  dir.add("k2", 10);
+  dir.add("k2", 11);  // survives on 11
+  dir.add("k3", 11);  // untouched
   auto orphans = dir.remove_node(10);
   ASSERT_EQ(orphans.size(), 1u);
-  EXPECT_EQ(orphans[0], 1u);
-  EXPECT_EQ(dir.replica_count(2), 1u);
-  EXPECT_TRUE(dir.is_last_replica(2, 11));
+  EXPECT_EQ(orphans[0], "k1");
+  EXPECT_EQ(dir.replica_count("k2"), 1u);
+  EXPECT_EQ(dir.holders_of("k2"), (std::vector<std::uint32_t>{11}));
   EXPECT_EQ(dir.total_replicas(), 2u);
 }
 
 TEST(ReplicaDirectory, MatchesSetModelUnderRandomOps) {
   // Property check against a brute-force model: map<key, set<node>>.
   ReplicaDirectory dir;
-  std::map<std::uint64_t, std::set<std::uint32_t>> model;
+  std::map<std::string, std::set<std::uint32_t>> model;
   util::Xoshiro256 rng(17);
   for (int i = 0; i < 20'000; ++i) {
-    const std::uint64_t key = rng.below(50);
+    // Appended, not `"k" + to_string`: GCC 12 misfires -Wrestrict on that.
+    std::string key = "k";
+    key += std::to_string(rng.below(50));
     const std::uint32_t node = static_cast<std::uint32_t>(rng.below(6));
     switch (rng.below(3)) {
       case 0: {
@@ -111,7 +114,7 @@ TEST(ReplicaDirectory, MatchesSetModelUnderRandomOps) {
   std::size_t model_total = 0;
   for (const auto& [k, nodes] : model) model_total += nodes.size();
   EXPECT_EQ(dir.total_replicas(), model_total);
-  EXPECT_EQ(dir.tracked_keys(), model.size());
+  EXPECT_EQ(dir.snapshot().size(), model.size());
 }
 
 }  // namespace

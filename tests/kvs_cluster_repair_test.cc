@@ -1,5 +1,5 @@
 // Anti-entropy repair for the replicated cluster (kvs/repair.h +
-// CoopCluster churn): hint-queue semantics, the shared sloppy-write and
+// CoopCluster churn): hint-queue semantics, the sloppy-write and
 // key-repair planners, the RepairDriver thread, and the full
 // kill -> sloppy writes + hints -> sweep -> heal + replay cycle, including
 // read repair on the failover path and the bounded-sweep cursor.
@@ -97,7 +97,7 @@ struct RepairHarness {
 // ---------------------------------------------------------------------------
 
 TEST(HintQueue, QueuesDedupsAndDrainsFifo) {
-  HintQueue<std::string> q;
+  HintQueue q;
   q.set_budget(1u << 10);
   RepairCounters c;
   q.push(1, "a", 40, c);
@@ -123,7 +123,7 @@ TEST(HintQueue, QueuesDedupsAndDrainsFifo) {
 }
 
 TEST(HintQueue, BudgetSqueezesOldestAndDropsOversize) {
-  HintQueue<std::string> q;
+  HintQueue q;
   q.set_budget(100);
   RepairCounters c;
   q.push(1, "a", 40, c);
@@ -138,20 +138,20 @@ TEST(HintQueue, BudgetSqueezesOldestAndDropsOversize) {
   EXPECT_EQ(c.hints_dropped, 2u);
   EXPECT_EQ(q.size(), 2u);
 
-  HintQueue<std::string> off;  // budget 0 = hinted handoff disabled
+  HintQueue off;  // budget 0 = hinted handoff disabled
   off.push(1, "a", 10, c);
   EXPECT_EQ(c.hints_dropped, 3u);
   EXPECT_EQ(off.size(), 0u);
 }
 
 TEST(HintQueue, EraseKeyAndEraseTarget) {
-  HintQueue<std::uint64_t> q;  // the simulator instantiation
+  HintQueue q;
   q.set_budget(1u << 10);
   RepairCounters c;
-  q.push(1, 7, 40, c);
-  q.push(2, 7, 40, c);
-  q.push(1, 8, 40, c);
-  EXPECT_EQ(q.erase_key(7), 2u);  // cluster-wide delete cancels both
+  q.push(1, "k7", 40, c);
+  q.push(2, "k7", 40, c);
+  q.push(1, "k8", 40, c);
+  EXPECT_EQ(q.erase_key("k7"), 2u);  // cluster-wide delete cancels both
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.erase_target(1), 1u);  // decommission cancels the rest
   EXPECT_EQ(q.size(), 0u);
